@@ -242,6 +242,8 @@ class ChaosReport:
     grown_bad_blocks: int = 0
     degraded: bool = False
     consistency_ok: bool = True
+    #: ``NoFTLStorageManager.verify_integrity()`` findings after the run.
+    integrity: List[str] = field(default_factory=list)
     #: The rig's registry, for exporting the full telemetry snapshot.
     telemetry: Optional[object] = None
 
@@ -251,7 +253,7 @@ class ChaosReport:
 
     @property
     def ok(self) -> bool:
-        return self.data_ok and self.consistency_ok
+        return self.data_ok and self.consistency_ok and not self.integrity
 
     def snapshot(self) -> dict:
         return {
@@ -270,6 +272,7 @@ class ChaosReport:
             "grown_bad_blocks": self.grown_bad_blocks,
             "degraded": self.degraded,
             "consistency_ok": self.consistency_ok,
+            "integrity_findings": len(self.integrity),
             "ok": self.ok,
         }
 
@@ -386,6 +389,7 @@ def run_chaos(
     report.relocation_skips = manager_stats.relocation_skips
     report.grown_bad_blocks = manager_stats.grown_bad_blocks
     report.degraded = rig.manager.bad_blocks.degraded
+    report.integrity = rig.manager.verify_integrity()
     rig.telemetry.register_collector("chaos.report", report.snapshot)
     report.telemetry = rig.telemetry
     return report
@@ -417,6 +421,8 @@ def main(argv=None) -> int:
         print(f"telemetry snapshot: {path}")
     if not report.ok:
         print("CHAOS RUN FAILED: committed data lost or inconsistent")
+        for problem in report.integrity[:5]:
+            print(f"  integrity: {problem}")
         return 1
     print("chaos run ok: no acknowledged write lost")
     return 0

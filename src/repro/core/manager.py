@@ -464,8 +464,9 @@ class NoFTLStorageManager:
 
         Used by the crash harness as its structural oracle after a mount:
         l2p/p2l must agree both ways, per-block valid counts must match,
-        free-pool blocks must hold no valid pages, and no bad/quarantined
-        block may be available for allocation.
+        free-pool blocks must hold no valid pages, no bad/quarantined
+        block may be available for allocation, and each space's count of
+        collections in flight must match its planes' victim sets.
         """
         problems: List[str] = []
         mapping = self.mapping
@@ -553,6 +554,16 @@ class NoFTLStorageManager:
                     problems.append(
                         f"stale bucket watcher on block {pbn}"
                     )
+            # maintenance_active reads this count instead of the sets.
+            collecting = sum(
+                len(plane.collecting) for plane in space._planes.values()
+            )
+            if space.collections_in_flight != collecting:
+                problems.append(
+                    f"region {region.region_id}: collections_in_flight="
+                    f"{space.collections_in_flight} but {collecting} "
+                    f"victims marked collecting"
+                )
         return problems
 
     # -- introspection --------------------------------------------------------------

@@ -138,6 +138,22 @@ class _CacheEntry:
         self.waiters = None     # events to fire when the destage settles
 
 
+class _BlockedWrite:
+    """A write held at the dirty watermark, queued in arrival order.
+
+    ``event`` is the current wake-up; ``woken`` is set once it has been
+    fired and cleared when the writer re-arms; ``done`` marks an entry
+    whose writer has left (the FIFO drops it lazily)."""
+
+    __slots__ = ("lpn", "event", "woken", "done")
+
+    def __init__(self, lpn: int):
+        self.lpn = lpn
+        self.event = None
+        self.woken = False
+        self.done = False
+
+
 class _Waiter:
     """One admission-queue entry; ``alive=False`` marks a shed waiter."""
 
@@ -189,7 +205,10 @@ class DeviceFrontend:
         self._write_seq = 0
         #: Highest write seq destaged to media per lpn (barrier bookkeeping).
         self._last_destaged: Dict[int, int] = {}
-        self._drain_waiters: List = []
+        #: Writes blocked at the dirty watermark, oldest first, and the
+        #: same entries indexed by the page each one wants to write.
+        self._blocked: deque = deque()
+        self._blocked_on: Dict[int, List[_BlockedWrite]] = {}
 
         # -- hazard registry ---------------------------------------------
         #: lpn -> Event fired when the in-flight backing write/trim lands.
@@ -487,7 +506,9 @@ class DeviceFrontend:
         self._cache.clear()
         self._dirty_fifo.clear()
         self._tm_dirty.set(0)
-        self._broadcast_drain()
+        for waiter in self._blocked:
+            if not waiter.done:
+                self._wake(waiter)
         for event in self._parked_workers:
             if not event.triggered:
                 event.succeed()
@@ -571,16 +592,8 @@ class DeviceFrontend:
         deadline_at = start + cfg.write_deadline_us
 
         # Backpressure: volatile acks only below the dirty watermark.
-        while len(self._cache) >= cfg.dirty_limit and lpn not in self._cache:
-            remaining = deadline_at - self.sim.now
-            if remaining <= 0:
-                self._shed("write", "dirty watermark held past deadline")
-            drained = self.sim.event()
-            self._drain_waiters.append(drained)
-            t0 = self.sim.now
-            yield self.sim.any_of([drained, self.sim.timeout(remaining)])
-            ctx.charge("cache_flush_us", self.sim.now - t0)
-            self._check_power()
+        if len(self._cache) >= cfg.dirty_limit and lpn not in self._cache:
+            yield from self._wait_for_room(lpn, deadline_at, ctx)
         self._check_power()
 
         self._write_seq += 1
@@ -588,6 +601,10 @@ class DeviceFrontend:
         if entry is None:
             self._cache[lpn] = _CacheEntry(data, hint, self._write_seq)
             self._dirty_fifo.append(lpn)
+            if self._blocked_on:
+                # Writers blocked on this page can coalesce into it now.
+                for waiter in self._blocked_on.get(lpn, ()):
+                    self._wake(waiter)
         else:
             entry.data = data
             entry.hint = hint
@@ -647,7 +664,7 @@ class DeviceFrontend:
                 # The trim supersedes the cached version — committed now.
                 del self._cache[lpn]
                 self._tm_dirty.set(len(self._cache))
-                self._broadcast_drain()
+                self._wake_next()
             done = self._begin_mutation(lpn)
             try:
                 yield from self._wait_readers(lpn, ctx)
@@ -724,11 +741,78 @@ class DeviceFrontend:
                 event.succeed()
                 return
 
-    def _broadcast_drain(self) -> None:
-        waiters, self._drain_waiters = self._drain_waiters, []
-        for event in waiters:
-            if not event.triggered:
-                event.succeed()
+    # -- watermark backpressure ---------------------------------------------
+
+    def _wait_for_room(self, lpn: int, deadline_at: float, ctx):
+        """Generator: hold a write at the dirty watermark until it may
+        insert (a slot freed) or coalesce (``lpn`` entered the cache).
+
+        The writer queues FIFO and sleeps until woken or its single
+        deadline timer fires.  A woken writer that finds no room re-arms
+        in its old place; one that cannot proceed by the deadline sheds.
+        Each freed slot wakes one writer, so a destage costs one resume
+        rather than one per blocked writer, and the writers see the room
+        in the same order and at the same instants as if all of them had
+        been woken to look.
+        """
+        sim = self.sim
+        remaining = deadline_at - sim.now
+        if remaining <= 0:
+            self._shed("write", "dirty watermark held past deadline")
+        waiter = _BlockedWrite(lpn)
+        self._blocked.append(waiter)
+        self._blocked_on.setdefault(lpn, []).append(waiter)
+        deadline = sim.timeout(remaining)
+        cache = self._cache
+        limit = self.config.dirty_limit
+        takes_slot = False
+        try:
+            while True:
+                waiter.woken = False
+                waiter.event = sim.event()
+                t0 = sim.now
+                yield sim.any_of([waiter.event, deadline])
+                ctx.charge("cache_flush_us", sim.now - t0)
+                self._check_power()
+                if lpn in cache:
+                    return
+                if len(cache) < limit:
+                    takes_slot = True
+                    return
+                if deadline.processed:
+                    self._shed("write", "dirty watermark held past deadline")
+        finally:
+            self._unblock(waiter, takes_slot)
+
+    def _unblock(self, waiter: _BlockedWrite, takes_slot: bool) -> None:
+        """Drop a writer leaving the watermark queue.  A woken writer that
+        leaves without taking a slot (it coalesces, sheds or is
+        interrupted) passes its wake on while room remains."""
+        waiter.done = True
+        same_page = self._blocked_on[waiter.lpn]
+        same_page.remove(waiter)
+        if not same_page:
+            del self._blocked_on[waiter.lpn]
+        blocked = self._blocked
+        while blocked and blocked[0].done:
+            blocked.popleft()
+        if (
+            waiter.woken and not takes_slot
+            and len(self._cache) < self.config.dirty_limit
+        ):
+            self._wake_next()
+
+    def _wake(self, waiter: _BlockedWrite) -> None:
+        if not waiter.woken:
+            waiter.woken = True
+            waiter.event.succeed()
+
+    def _wake_next(self) -> None:
+        """A slot freed: wake the oldest blocked writer not yet woken."""
+        for waiter in self._blocked:
+            if not waiter.done and not waiter.woken:
+                self._wake(waiter)
+                return
 
     def _pick_dirty(self) -> Optional[int]:
         fifo = self._dirty_fifo
@@ -808,7 +892,7 @@ class DeviceFrontend:
             if current is entry and entry.seq == snap_seq:
                 del self._cache[lpn]
                 self._tm_dirty.set(len(self._cache))
-                self._broadcast_drain()
+                self._wake_next()
             elif current is entry:
                 # Re-dirtied mid-destage: back onto the FIFO it goes.
                 self._dirty_fifo.append(lpn)

@@ -131,6 +131,14 @@ class SimExecutor:
                     result = yield from execute(command)
                 except FlashError as exc:
                     command = _check_command(throw(exc))
+                except BaseException:
+                    # Not the operation's to handle (an Interrupt from a
+                    # stopped process, say): close it so its finally
+                    # blocks run now.  A GC collection then drops its
+                    # victim from the plane's in-flight set instead of
+                    # holding it for as long as the traceback lives.
+                    operation.close()
+                    raise
                 else:
                     if ctx is not None:
                         _charge(ctx, command, origin, result)

@@ -198,6 +198,10 @@ class PageMappedSpace:
             raise ValueError("placement_divisor must be >= 1")
         self.placement_divisor = placement_divisor
         self._rng = rng or random.Random(0)
+        #: Collections in flight over all planes: always the sum of
+        #: ``len(plane.collecting)``, kept so :attr:`maintenance_active`
+        #: is O(1).  ``verify_integrity`` audits the two against each other.
+        self.collections_in_flight = 0
         bad = set(bad_blocks)
         self._planes: Dict[PlaneId, _Plane] = {}
         for plane_id in planes:
@@ -273,7 +277,7 @@ class PageMappedSpace:
         """True while any plane has a collection (GC / wear-level refresh)
         in flight — used by the layers above to classify lock waits as
         queueing-behind-GC."""
-        return any(plane.collecting for plane in self._planes.values())
+        return self.collections_in_flight > 0
 
     # -- host operations -------------------------------------------------------------
 
@@ -567,7 +571,9 @@ class PageMappedSpace:
         executor charges its time to the GC bucket of whichever host
         request ended up running it inline.
         """
-        plane.collecting.add(victim)
+        if victim not in plane.collecting:
+            plane.collecting.add(victim)
+            self.collections_in_flight += 1
         moved = []
         valid_count = self.mapping.valid_in_block[victim]
         self._tm_gc_runs.inc()
@@ -677,7 +683,9 @@ class PageMappedSpace:
                 # write streams exist to eliminate in steady state.
                 self.stream_stats["mixed_class_victims"] += 1
         finally:
-            plane.collecting.discard(victim)
+            if victim in plane.collecting:
+                plane.collecting.remove(victim)
+                self.collections_in_flight -= 1
 
     def _erase_into_pool(self, plane: _Plane, pbn: int):
         plane.release(pbn)
@@ -804,6 +812,7 @@ class PageMappedSpace:
             for stream, (pbn, next_offset) in adopted.items():
                 plane.active[stream] = [pbn, next_offset]
             self.stream_stats["frontiers_adopted"] += len(adopted)
+            self.collections_in_flight -= len(plane.collecting)
             plane.collecting = set()
         self.suspect_blocks.clear()
         self.quarantined_blocks = {pbn for pbn in quarantined if pbn in my_blocks}

@@ -6,8 +6,8 @@ Three layers:
   — volatile acks, coalescing, the ``flush_barrier`` durability point,
   watermark backpressure shedding loudly, power-cut wipe semantics, trim
   supersession (and the regression where a *shed* trim used to destroy
-  the newest acknowledged version), WAR fencing and maintenance
-  throttling;
+  the newest acknowledged version), WAR fencing, maintenance throttling
+  and the FIFO handoff of writers blocked at the dirty watermark;
 * :class:`ChecksumOracle` durability bookkeeping — mid-flight trim
   indeterminacy, shed trims leaving the ledger untouched, and barrier
   floors surviving a concurrent trim+rewrite (the stale-snapshot
@@ -16,6 +16,10 @@ Three layers:
   synthetic workload routed through it, and the combined-failure siege
   rig holding every gate.
 """
+
+import hashlib
+import random
+import sys
 
 import pytest
 
@@ -26,7 +30,7 @@ from repro.core import NoFTLConfig
 from repro.core.badblock import DegradedModeError
 from repro.device import DeviceFrontend, FrontendConfig, FrontendShedError
 from repro.flash import Geometry, PowerCutError, UncorrectableError
-from repro.sim import Simulator
+from repro.sim import Interrupt, Simulator
 from repro.workloads.synth import SyntheticSpec, run_synthetic
 
 GEO = Geometry(
@@ -177,6 +181,226 @@ class TestBackpressure:
     def test_shed_is_a_degraded_mode_error(self):
         with pytest.raises(DegradedModeError):
             raise FrontendShedError("write", "test")
+
+
+def _full_cache_frontend(write_us=1_000.0, destage_workers=1, **config_kw):
+    """A 4-page cache at a 100% watermark, filled with pages 0-3 at t=0:
+    the destage workers free one slot per ``write_us`` each."""
+    config = FrontendConfig(cache_pages=4, dirty_high_watermark=1.0,
+                            destage_workers=destage_workers, **config_kw)
+    sim, backing, frontend = make_frontend(config=config, write_us=write_us)
+    for lpn in range(4):
+        sim.process(frontend.write(lpn, ("fill", lpn)))
+    return sim, backing, frontend
+
+
+def _writer(sim, frontend, lpn, at, log):
+    """Process: write ``lpn`` at time ``at``; log (lpn, outcome, now)."""
+    yield sim.timeout(at)
+    try:
+        yield from frontend.write(lpn, ("w", lpn, at))
+    except (DegradedModeError, PowerCutError, Interrupt) as exc:
+        log.append((lpn, type(exc).__name__, sim.now))
+        return
+    log.append((lpn, "acked", sim.now))
+
+
+def _count_any_of(sim):
+    """Count the waits the watermark makes (each wait is one AnyOf)."""
+    calls = []
+    any_of = sim.any_of
+
+    def counted(events):
+        calls.append(sim.now)
+        return any_of(events)
+
+    sim.any_of = counted
+    return calls
+
+
+def blocked_write_burst(seed, n=400):
+    """Poisson reads and writes well above the destage rate of a small
+    cache: writers block at the watermark, coalesce and shed.  Returns
+    the per-op outcomes (due time, lpn, kind, latency or "shed") and the
+    front end."""
+    config = FrontendConfig(cache_pages=16, write_deadline_us=1_500.0)
+    sim, backing, frontend = make_frontend(config=config, write_us=180.0)
+    rng = random.Random(seed)
+    outcomes = []
+
+    def io(due, lpn, is_read):
+        try:
+            if is_read:
+                yield from frontend.read(lpn)
+            else:
+                yield from frontend.write(lpn, ("v", lpn, due))
+        except DegradedModeError:
+            outcomes.append((round(due, 3), lpn, is_read, "shed"))
+            return
+        outcomes.append((round(due, 3), lpn, is_read, round(sim.now - due, 3)))
+
+    def arrivals():
+        due = 0.0
+        for _ in range(n):
+            due += rng.expovariate(1 / 12.0)
+            yield sim.timeout(due - sim.now)
+            sim.process(io(due, rng.randrange(64), rng.random() < 0.2))
+
+    sim.process(arrivals())
+    sim.run()
+    return sorted(outcomes), frontend
+
+
+#: Digest of ``blocked_write_burst(1)`` recorded with the earlier front
+#: end, which woke every blocked writer whenever a slot freed.  The FIFO
+#: handoff must reproduce those outcomes exactly.
+BLOCKED_BURST_DIGEST = "f6710d285532d12a"
+
+
+class TestWatermarkHandoff:
+    def test_one_destage_resumes_one_writer_in_fifo_order(self):
+        sim, backing, frontend = _full_cache_frontend()
+        waits = _count_any_of(sim)
+        log = []
+        for at, lpn in ((5.0, 10), (6.0, 11), (7.0, 12)):
+            sim.process(_writer(sim, frontend, lpn, at, log))
+        sim.run()
+        # One slot per 1,000 us destage, taken in arrival order.
+        assert log == [(10, "acked", 1000.5), (11, "acked", 2000.5),
+                       (12, "acked", 3000.5)]
+        # One wait per blocked write: nobody was woken just to re-wait.
+        assert waits == [5.0, 6.0, 7.0]
+
+    def test_writer_blocked_on_a_just_cached_page_proceeds_at_once(self):
+        sim, backing, frontend = _full_cache_frontend()
+        log = []
+        for at, lpn in ((5.0, 10), (6.0, 10), (7.0, 11)):
+            sim.process(_writer(sim, frontend, lpn, at, log))
+        sim.run()
+        # The second writer of page 10 coalesces into the page the first
+        # one cached at t=1000, without waiting for a slot of its own.
+        assert log[:2] == [(10, "acked", 1000.5), (10, "acked", 1000.5)]
+        assert log[2] == (11, "acked", 2000.5)
+        assert frontend.coalesced_count == 1
+
+    def test_woken_writer_that_coalesces_passes_its_wake(self):
+        # Two workers free two slots at t=1000.  The first goes to the
+        # writer of page 10, the second to the next writer of page 10,
+        # which coalesces instead: its wake passes on to page 12.
+        sim, backing, frontend = _full_cache_frontend(destage_workers=2)
+        log = []
+        for at, lpn in ((5.0, 10), (6.0, 10), (7.0, 12)):
+            sim.process(_writer(sim, frontend, lpn, at, log))
+        sim.run()
+        assert log == [(10, "acked", 1000.5), (10, "acked", 1000.5),
+                       (12, "acked", 1000.5)]
+
+    def test_woken_writer_that_gives_up_passes_its_wake(self):
+        sim, backing, frontend = _full_cache_frontend()
+        log = []
+        first = sim.process(_writer(sim, frontend, 10, 5.0, log))
+        sim.process(_writer(sim, frontend, 11, 6.0, log))
+
+        def stop_first_when_woken():
+            yield sim.timeout(7.0)
+            # Resumed by the same wake as the first writer, just before it.
+            yield frontend._blocked[0].event
+            first.interrupt("stopped")
+
+        sim.process(stop_first_when_woken())
+        sim.run()
+        # The freed slot is not lost with the writer that left.
+        assert log == [(10, "Interrupt", 1000.0), (11, "acked", 1000.5)]
+        assert not frontend._blocked and not frontend._blocked_on
+
+    def test_shed_writer_leaves_the_queue(self):
+        sim, backing, frontend = _full_cache_frontend(
+            write_deadline_us=700.0
+        )
+        log = []
+        for at, lpn in ((5.0, 10), (600.0, 11)):
+            sim.process(_writer(sim, frontend, lpn, at, log))
+        sim.run()
+        # The first writer sheds at its deadline; the slot freed at
+        # t=1000 goes straight to the second, not to the shed writer.
+        assert log == [(10, "FrontendShedError", 705.0),
+                       (11, "acked", 1000.5)]
+        assert frontend.shed_counts["write"] == 1
+        assert not frontend._blocked and not frontend._blocked_on
+
+    def test_power_cut_wakes_every_blocked_writer(self):
+        array = ArrayStub()
+        config = FrontendConfig(cache_pages=4, dirty_high_watermark=1.0,
+                                destage_workers=1)
+        sim, backing, frontend = make_frontend(
+            config=config, array=array, write_us=1_000.0
+        )
+        for lpn in range(4):
+            sim.process(frontend.write(lpn, ("fill", lpn)))
+        log = []
+        for at, lpn in ((5.0, 10), (6.0, 11), (7.0, 12)):
+            sim.process(_writer(sim, frontend, lpn, at, log))
+
+        def pull_the_plug():
+            yield sim.timeout(500.0)
+            array.power_cut_listeners[0](None)
+            # Woken at once, all of them: none waits for another to leave.
+            assert [w.woken for w in frontend._blocked] == [True] * 3
+
+        sim.process(pull_the_plug())
+        sim.run()
+        assert log == [(lpn, "PowerCutError", 500.0) for lpn in (10, 11, 12)]
+        assert not frontend._blocked and not frontend._blocked_on
+
+    def test_each_blocked_write_has_one_deadline_timer(self):
+        config = FrontendConfig(cache_pages=8, write_deadline_us=1_500.0)
+        sim, backing, frontend = make_frontend(config=config, write_us=180.0)
+        deadlines = []
+        timeout = sim.timeout
+
+        def spy(delay, value=None):
+            if sys._getframe(1).f_code.co_name == "_wait_for_room":
+                deadlines.append(delay)
+            return timeout(delay, value)
+
+        sim.timeout = spy
+        rng = random.Random(5)
+        latencies = []
+
+        def writer(lpn):
+            start = sim.now
+            try:
+                yield from frontend.write(lpn, lpn)
+            except DegradedModeError:
+                latencies.append(None)
+                return
+            latencies.append(sim.now - start)
+
+        def arrivals():
+            for __ in range(200):
+                yield sim.timeout(rng.expovariate(1 / 10.0))
+                sim.process(writer(rng.randrange(64)))
+
+        sim.process(arrivals())
+        sim.run()
+        blocked = [lat for lat in latencies
+                   if lat is None or lat > config.ack_latency_us]
+        assert len(latencies) == 200
+        assert frontend.shed_counts["write"] > 0
+        # Many writers waited through several wake-ups; each still got
+        # exactly one deadline timer, for the full write deadline.
+        assert len(deadlines) == len(blocked)
+        assert deadlines == pytest.approx(
+            [config.write_deadline_us] * len(blocked)
+        )
+
+    def test_blocked_burst_outcomes_match_the_broadcast(self):
+        outcomes, frontend = blocked_write_burst(seed=1)
+        sheds = sum(1 for outcome in outcomes if outcome[3] == "shed")
+        assert sheds == 25
+        assert frontend.coalesced_count == 173
+        digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()[:16]
+        assert digest == BLOCKED_BURST_DIGEST
 
 
 class TestPowerCut:
