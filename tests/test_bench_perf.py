@@ -16,6 +16,7 @@ import json
 
 import pytest
 
+from repro.bench import perf
 from repro.bench.perf import (
     PerfPoint,
     check_regression,
@@ -36,6 +37,16 @@ RIG_GOLDEN_SIM_US = 316513.6800000004
 RIG_GOLDEN_COMMITS = 553
 RIG_GOLDEN_DIGEST = (
     "dcd83cbb9f8ab1d296a778e922d9958aa4efcb825758f7aff8aa5c140cf1b005"
+)
+
+# A contended rig: 16 terminals against 2 db-writers, so several
+# evictors are blocked on each frame a writer cleans (the golden above
+# has about one).  Recorded before the buffer pool's clean-frame pass
+# replaced the per-waiter broadcast; the pass must reproduce it exactly.
+CONTENDED_GOLDEN_SIM_US = 502150.79999999923
+CONTENDED_GOLDEN_COMMITS = 1327
+CONTENDED_GOLDEN_DIGEST = (
+    "007fd2fc85d12f7a03e03bb4f6550fc299df0ec56ac25b5b89ca8f211962aaa8"
 )
 
 
@@ -74,6 +85,27 @@ class TestGoldenRig:
         assert point.events > 0
         assert point.flash_commands > 0
         assert point.wall_s > 0
+
+    def test_contended_tpcb_rig_reproduces_recorded_run(self, monkeypatch):
+        attached = []
+        original = perf.attach_database
+
+        def attach(*args, **kwargs):
+            db = original(*args, **kwargs)
+            attached.append(db)
+            return db
+
+        monkeypatch.setattr(perf, "attach_database", attach)
+        point = perf.run_rig("tpcb", seed=5, duration_us=300_000.0, dies=4,
+                             terminals=16, writers=2)
+        assert point.metrics_digest == CONTENDED_GOLDEN_DIGEST
+        assert point.commits == CONTENDED_GOLDEN_COMMITS
+        assert point.sim_us == CONTENDED_GOLDEN_SIM_US
+        # The rig must keep exercising multi-waiter clean passes: many
+        # blocked evictors per commit and per written-back frame.
+        pool = attached[0].buffer
+        assert pool.clean_waits > 5 * point.commits
+        assert pool.clean_waits > 5 * pool.flushes
 
     def test_unknown_rig_rejected(self):
         with pytest.raises(ValueError, match="unknown rig"):
