@@ -23,18 +23,21 @@ Output: one ``BENCH_<rig>.json`` per rig in ``REPRO_METRICS_DIR``
 * ``events`` / ``events_per_sec`` — DES events processed and the rate;
 * ``commits`` / ``ops_per_sec`` — committed txns and commits per wall
   second;
+* ``events_per_commit`` — DES events per committed txn, a host-independent
+  cost witness (a change that removes events lowers events/sec while
+  raising commits/sec);
 * ``sim_us`` — simulated microseconds covered;
 * ``metrics_digest`` — determinism witness (see above).
 
 CI runs ``python -m repro.bench.perf --quick --check --determinism`` as
 a combined regression + determinism gate: it fails when any rig's
-events/sec drops more than ``--tolerance`` (default 20%) below the
-checked-in ``benchmarks/perf_baseline.json``, and ``--determinism``
-additionally runs every rig twice and fails on any ``metrics_digest``
-mismatch between the two runs.  Regenerate the baseline with
-``--write-baseline`` after an intentional performance change (values
-should be set conservatively — CI runners are slower than dev
-machines).
+events/sec or commits/sec drops more than ``--tolerance`` (default 20%)
+below its floor in the checked-in ``benchmarks/perf_baseline.json``, and
+``--determinism`` additionally runs every rig twice and fails on any
+``metrics_digest`` mismatch between the two runs.  Regenerate the
+baseline with ``--write-baseline`` after an intentional performance
+change (values should be set conservatively — CI runners are slower
+than dev machines).
 """
 
 from __future__ import annotations
@@ -86,8 +89,12 @@ class PerfPoint:
     flash_commands: int
     metrics_digest: str
 
+    @property
+    def events_per_commit(self) -> float:
+        return self.events / self.commits if self.commits else 0.0
+
     def as_dict(self) -> dict:
-        return asdict(self)
+        return dict(asdict(self), events_per_commit=self.events_per_commit)
 
 
 def _make_workload(rig: str):
@@ -246,20 +253,26 @@ def baseline_interpreter_mismatch(baseline: Dict[str, dict]) -> List[str]:
 def check_regression(points: Sequence[PerfPoint], baseline: Dict[str, dict],
                      tolerance: float = 0.20) -> List[str]:
     """Return human-readable failures for rigs below (1 - tolerance) of
-    the baseline events/sec floor.  Rigs absent from the baseline pass."""
+    a baseline floor: events/sec, and commits/sec where the baseline
+    records one.  Rigs absent from the baseline pass."""
     failures = []
     for point in points:
         floor_entry = baseline.get(point.rig)
         if not floor_entry:
             continue
-        floor = floor_entry["events_per_sec"] * (1.0 - tolerance)
-        if point.events_per_sec < floor:
-            failures.append(
-                f"{point.rig}: {point.events_per_sec:,.0f} events/s is below "
-                f"the regression floor {floor:,.0f} "
-                f"(baseline {floor_entry['events_per_sec']:,.0f} "
-                f"- {tolerance:.0%} tolerance)"
-            )
+        for key, unit in (("events_per_sec", "events/s"),
+                          ("ops_per_sec", "commits/s")):
+            if key not in floor_entry:
+                continue
+            floor = floor_entry[key] * (1.0 - tolerance)
+            rate = getattr(point, key)
+            if rate < floor:
+                failures.append(
+                    f"{point.rig}: {rate:,.0f} {unit} is below "
+                    f"the regression floor {floor:,.0f} "
+                    f"(baseline {floor_entry[key]:,.0f} "
+                    f"- {tolerance:.0%} tolerance)"
+                )
     return failures
 
 
@@ -280,8 +293,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="override the simulated horizon per rig")
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--check", action="store_true",
-                        help="compare events/sec against the baseline file "
-                             "and exit nonzero on regression")
+                        help="compare events/sec and commits/sec against "
+                             "the baseline file and exit nonzero on "
+                             "regression")
     parser.add_argument("--determinism", action="store_true",
                         help="run every rig twice and exit nonzero unless "
                              "both runs produce identical metrics digests")
@@ -358,9 +372,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     emit(render_table(
         "Wall-clock performance (fixed-seed NoFTL rigs)",
         ["rig", "wall s", "events", "events/s", "commits", "commits/s",
-         "flash cmds"],
+         "events/commit", "flash cmds"],
         [[point.rig, point.wall_s, point.events, point.events_per_sec,
-          point.commits, point.ops_per_sec, point.flash_commands]
+          point.commits, point.ops_per_sec, point.events_per_commit,
+          point.flash_commands]
          for point in points],
     ))
     for point in points:
@@ -396,7 +411,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 emit(f"PERF REGRESSION: {failure}")
             return 1
         emit(f"perf check ok (>= {1.0 - args.tolerance:.0%} of baseline "
-             "events/sec on every rig)")
+             "events/sec and commits/sec on every rig)")
     return 0
 
 

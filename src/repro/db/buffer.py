@@ -12,7 +12,10 @@ The mechanics that matter for the paper's experiments:
 * each first-dirtying of a page is announced to a listener — the hook
   the db-writer framework (global vs die-wise assignment) plugs into;
 * flushes snapshot the page bytes *before* any waiting, so a concurrent
-  mutator can never leak an unlogged change to storage.
+  mutator can never leak an unlogged change to storage;
+* callers blocked until a db-writer cleans a frame are re-checked in one
+  pass per cleaned frame, which resumes only the ones it admits (see
+  :meth:`BufferPool._clean_pass`).
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ from .storage import StorageAdapter
 from .wal import WALog
 
 __all__ = ["Frame", "BufferPool"]
+
+_UNCHECKED = object()
 
 
 class Frame:
@@ -45,6 +50,32 @@ class Frame:
         self.heat = 0
         self.flush_event: Optional[Event] = None
         self.evicting = False
+
+
+class _CleanWaiter:
+    """One blocked :meth:`BufferPool._make_room` or ``_throttle_wait``
+    call, queued in FIFO order until a clean-frame pass admits it or its
+    deadline passes.
+
+    ``victim`` is the dirty frame the last re-check found (written back
+    in the foreground on timeout).  ``deadline_at``/``ticket`` are the
+    current deadline and its place in the event order; ``armed`` is the
+    ticket of the one live deadline timer, which re-arms itself lazily
+    when the two differ.  ``done`` marks a waiter admitted or timed out.
+    """
+
+    __slots__ = ("wake", "process", "throttle", "victim", "deadline_at",
+                 "ticket", "armed", "done")
+
+    def __init__(self, wake: Event, process, throttle: bool,
+                 victim: Optional[Frame], deadline_at: float, ticket: int):
+        self.wake = wake
+        self.process = process
+        self.throttle = throttle
+        self.victim = victim
+        self.deadline_at = deadline_at
+        self.ticket = self.armed = ticket
+        self.done = False
 
 
 class BufferPool:
@@ -106,7 +137,7 @@ class BufferPool:
         self._loading: Dict[int, Event] = {}
         self._reserved = 0
         self._unpin_waiters: Deque[Event] = deque()
-        self._clean_waiters: Deque[Event] = deque()
+        self._clean_waiters: Deque[_CleanWaiter] = deque()
         self._dirty_listener: Optional[Callable[[int, Frame], None]] = None
         #: Set by DbWriterPool while background cleaners run; gates the
         #: wait-for-clean-frame eviction path.
@@ -275,20 +306,16 @@ class BufferPool:
         return self._throttle_wait()
 
     def _throttle_wait(self):
-        """Generator: the engaged-throttle path of :meth:`throttle`."""
-        limit = self.dirty_throttle_fraction * self.capacity
-        while self.dirty_count > limit:
+        """Generator: the engaged-throttle path of :meth:`throttle`.
+        Returns once a clean-frame pass finds the dirty ratio back under
+        the limit, or at the deadline: proceed rather than wedge."""
+        if self._over_dirty_limit():
             self.throttle_waits += 1
-            cleaned = self.sim.event()
-            self._clean_waiters.append(cleaned)
-            deadline = self.sim.timeout(self.clean_wait_timeout_us)
-            fired = yield self.sim.any_of([cleaned, deadline])
-            if cleaned not in fired:
-                try:
-                    self._clean_waiters.remove(cleaned)
-                except ValueError:
-                    pass
-                return  # timed out: proceed rather than wedge
+            yield from self._wait_for_clean(True, None)
+
+    def _over_dirty_limit(self) -> bool:
+        """The throttle's re-wait predicate."""
+        return self.dirty_count > self.dirty_throttle_fraction * self.capacity
 
     # -- flushing ----------------------------------------------------------------------
 
@@ -356,8 +383,8 @@ class BufferPool:
             if frame.dirty_seq == seq:
                 frame.dirty = False
                 self._dirty_total -= 1
-                while self._clean_waiters:
-                    self._clean_waiters.popleft().succeed()
+                if self._clean_waiters:
+                    self._start_clean_pass()
             elif self._dirty_listener is not None:
                 # Re-dirtied mid-flush: make sure a writer comes back for
                 # it (the original enqueue has been consumed).
@@ -373,34 +400,121 @@ class BufferPool:
 
     def _make_room(self, ctx: Optional[OpContext] = None):
         while len(self.frames) + self._reserved >= self.capacity:
-            victim = self._pick_victim()
-            if victim is None:
-                yield from self._wait_for_unpin()
-                continue
-            if victim.dirty:
-                if not self.foreground_flush and self.background_writers_active:
-                    # Shore-MT style: wait for the db-writers to clean a
-                    # frame; bounded by a timeout fallback.
+            victim = self._clean_wait_victim()
+            if victim is not None:
+                # Shore-MT style: wait for the db-writers to clean a
+                # frame; bounded by a timeout fallback.
+                self.clean_waits += 1
+                victim = yield from self._wait_for_clean(False, victim)
+                if victim is None:
+                    continue  # a frame went clean: re-pick
+            else:
+                victim = self._pick_victim()
+                if victim is None:
+                    yield from self._wait_for_unpin()
+                    continue
+                if not victim.dirty:
+                    victim.evicting = True
+                    del self.frames[victim.page_id]
+                    self.evictions += 1
+                    self._tm_evictions.inc()
+                    continue
+            # Foreground write-back: the stall db-writers should prevent.
+            self.dirty_eviction_stalls += 1
+            self._tm_stalls.inc()
+            yield from self._flush_frame(victim, ctx)
+            # re-pick: state may have changed while flushing
+
+    def _clean_wait_victim(self) -> Optional[Frame]:
+        """The eviction re-wait predicate: the dirty LRU victim that a
+        caller needing a frame waits on for a db-writer to clean, or
+        None when it can act now (there is room, the victim is clean or
+        missing, or no background writer will clean it)."""
+        if len(self.frames) + self._reserved < self.capacity \
+                or self.foreground_flush \
+                or not self.background_writers_active:
+            return None
+        victim = self._pick_victim()
+        if victim is not None and victim.dirty:
+            return victim
+        return None
+
+    def _wait_for_clean(self, throttle: bool, victim: Optional[Frame]):
+        """Generator: block until a clean-frame pass admits the caller
+        (returns None) or its deadline passes (returns the victim the
+        last re-check found, for the foreground write-back)."""
+        sim = self.sim
+        waiter = _CleanWaiter(sim.event(), sim.active_process, throttle,
+                              victim, sim.now + self.clean_wait_timeout_us,
+                              sim.ticket())
+        sim.timeout_at(waiter.deadline_at, waiter, self._on_clean_deadline,
+                       waiter.ticket)
+        self._clean_waiters.append(waiter)
+        admitted = yield waiter.wake
+        return None if admitted else waiter.victim
+
+    def _on_clean_deadline(self, timer) -> None:
+        """A waiter's deadline timer fired: re-arm it or time it out."""
+        waiter = timer.value
+        if waiter.armed != waiter.ticket:
+            # Re-queued since this timer was armed: move on to the
+            # current deadline.  Kept after the waiter leaves, so a
+            # drained run still ends at its last deadline.
+            waiter.armed = waiter.ticket
+            self.sim.timeout_at(waiter.deadline_at, waiter,
+                                self._on_clean_deadline, waiter.ticket)
+        elif not waiter.done:
+            waiter.done = True
+            waiter.wake.succeed(False)
+
+    def _start_clean_pass(self) -> None:
+        """A frame went clean: detach the blocked callers as one batch
+        for a re-check two fast-lane hops from now."""
+        batch, self._clean_waiters = self._clean_waiters, deque()
+        sim = self.sim
+        sim.timeout_at(sim.now, batch, self._clean_pass_hop)
+
+    def _clean_pass_hop(self, hop) -> None:
+        sim = self.sim
+        sim.timeout_at(sim.now, hop.value, self._clean_pass)
+
+    def _clean_pass(self, hop) -> None:
+        """Re-check a batch of blocked callers in FIFO order.
+
+        The predicates depend only on pool state, which only an admitted
+        caller changes, so each is evaluated once and reused until the
+        next admission.  Admitted callers resume inline, in order; the
+        rest re-queue behind newer arrivals with a fresh deadline, as
+        their own re-wait would have.
+        """
+        sim = self.sim
+        room_victim = over_limit = _UNCHECKED
+        for waiter in hop.value:
+            process = waiter.process
+            if waiter.done or (process is not None
+                               and process.target is not waiter.wake):
+                continue  # timed out, or interrupted while queued: drop
+            if waiter.throttle:
+                if over_limit is _UNCHECKED:
+                    over_limit = self._over_dirty_limit()
+                blocked = over_limit
+            else:
+                if room_victim is _UNCHECKED:
+                    room_victim = self._clean_wait_victim()
+                blocked = room_victim is not None
+            if blocked:
+                if waiter.throttle:
+                    self.throttle_waits += 1
+                else:
                     self.clean_waits += 1
-                    cleaned = self.sim.event()
-                    self._clean_waiters.append(cleaned)
-                    deadline = self.sim.timeout(self.clean_wait_timeout_us)
-                    fired = yield self.sim.any_of([cleaned, deadline])
-                    if cleaned in fired:
-                        continue  # a frame went clean: re-pick
-                    try:
-                        self._clean_waiters.remove(cleaned)
-                    except ValueError:
-                        pass
-                # Foreground write-back: the stall db-writers should prevent.
-                self.dirty_eviction_stalls += 1
-                self._tm_stalls.inc()
-                yield from self._flush_frame(victim, ctx)
-                continue  # re-pick: state may have changed while flushing
-            victim.evicting = True
-            del self.frames[victim.page_id]
-            self.evictions += 1
-            self._tm_evictions.inc()
+                    waiter.victim = room_victim
+                waiter.deadline_at = sim.now + self.clean_wait_timeout_us
+                waiter.ticket = sim.ticket()
+                self._clean_waiters.append(waiter)
+            else:
+                waiter.done = True
+                waiter.wake.fire(True)
+                room_victim = over_limit = _UNCHECKED
 
     def _pick_victim(self) -> Optional[Frame]:
         """Oldest unpinned frame (LRU order), dirty or clean."""

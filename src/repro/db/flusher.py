@@ -199,7 +199,7 @@ class DbWriterPool:
         self._stopping = True
         self.buffer_pool.background_writers_active = False
         for process in self._processes:
-            if process.is_alive and process._waiting_on is not None:
+            if process.is_alive and process.target is not None:
                 try:
                     process.interrupt("stop")
                 except RuntimeError:

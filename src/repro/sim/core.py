@@ -24,7 +24,9 @@ Both lanes share the global ``seq`` counter and the dispatcher always
 picks the lowest ``(time, seq)`` across them, so the firing order is
 **bit-identical** to a single heap ordered by ``(time, seq)`` — the
 determinism tests pin this with golden runs recorded against the
-pre-fast-lane kernel.
+pre-fast-lane kernel.  A timeout may also be armed later at a sequence
+number reserved earlier (:meth:`Simulator.ticket`), taking the place in
+that order it would have had if it had been armed then.
 """
 
 from __future__ import annotations
@@ -127,6 +129,28 @@ class Event:
         self.sim._schedule(self)
         return self
 
+    def fire(self, value: Any = None) -> "Event":
+        """Trigger the event and process it now: every callback (a
+        waiting process's resumption, say) runs before ``fire`` returns.
+
+        For callbacks that resume a waiter at their own position in the
+        event order instead of one fast-lane hop later, e.g. a batched
+        re-check resuming only the waiters it admits.  Call it from a
+        callback, never from a running process: a process resumed here
+        would nest inside it.
+        """
+        if self._value is not _UNSET:
+            raise RuntimeError("event already triggered")
+        sim = self.sim
+        if sim._active_process is not None:
+            raise RuntimeError("fire() runs from a callback, not a process")
+        self._value = value
+        sim.events_processed += 1
+        callbacks, self.callbacks = self.callbacks, None
+        for callback in callbacks:
+            callback(self)
+        return self
+
     def fail(self, exception: BaseException) -> "Event":
         """Trigger the event with an exception; waiters will see it raised."""
         if self._value is not _UNSET:
@@ -190,6 +214,12 @@ class Process(Event):
     @property
     def is_alive(self) -> bool:
         return self._value is _UNSET
+
+    @property
+    def target(self) -> Optional[Event]:
+        """The event the process is suspended on; None while it runs, is
+        due to resume, has been interrupted or has finished."""
+        return self._waiting_on
 
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current time."""
@@ -365,6 +395,40 @@ class Simulator:
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         return Timeout(self, delay, value)
+
+    def timeout_at(self, when: float, value: Any = None,
+                   callback=None, ticket: Optional[int] = None) -> Timeout:
+        """A timeout firing at absolute time ``when`` (not before now).
+
+        ``callback(timeout)``, when given, runs as the timeout fires.
+        ``ticket``, from :meth:`ticket`, places the timeout in the
+        ``(time, seq)`` order where one created when the ticket was taken
+        would sit: a deadline re-armed lazily keeps the position an eager
+        re-arm would have had, so ties at the same instant resolve the
+        same way.  A ticket places one timeout.
+        """
+        if when < self._now:
+            raise ValueError(f"timeout_at({when}) is in the past "
+                             f"(now={self._now})")
+        timer = Timeout.__new__(Timeout)
+        timer.sim = self
+        timer.callbacks = [] if callback is None else [callback]
+        timer._value = value
+        timer._ok = True
+        timer.delay = when - self._now
+        if ticket is None:
+            if when == self._now:
+                self._schedule(timer)
+                return timer
+            ticket = self.ticket()
+        heapq.heappush(self._queue, (when, ticket, timer))
+        return timer
+
+    def ticket(self) -> int:
+        """Reserve the current position in the event order (see
+        :meth:`timeout_at`)."""
+        self._seq += 1
+        return self._seq
 
     def process(self, generator: Generator) -> Process:
         return Process(self, generator)

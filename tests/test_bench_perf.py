@@ -50,11 +50,11 @@ CONTENDED_GOLDEN_DIGEST = (
 )
 
 
-def _point(rig="tpcb", events_per_sec=1000.0) -> PerfPoint:
+def _point(rig="tpcb", events_per_sec=1000.0, ops_per_sec=10.0) -> PerfPoint:
     return PerfPoint(
         rig=rig, seed=11, duration_us=1000.0, wall_s=1.0, sim_us=1000.0,
         events=1000, events_per_sec=events_per_sec, commits=10,
-        ops_per_sec=10.0, flash_commands=50, metrics_digest="d" * 64,
+        ops_per_sec=ops_per_sec, flash_commands=50, metrics_digest="d" * 64,
     )
 
 
@@ -135,6 +135,20 @@ class TestBaseline:
     def test_rigs_absent_from_baseline_pass(self):
         assert check_regression([_point(rig="tpcc")], {"tpcb": {}}) == []
 
+    def test_check_fails_below_commits_floor(self):
+        # Fewer events per commit: events/sec falls, commits/sec rises.
+        # Both floors are checked on their own.
+        baseline = {"tpcb": {"events_per_sec": 1000.0, "ops_per_sec": 10.0}}
+        assert check_regression(
+            [_point(events_per_sec=850.0, ops_per_sec=12.0)], baseline) == []
+        failures = check_regression(
+            [_point(events_per_sec=1000.0, ops_per_sec=7.0)], baseline)
+        assert len(failures) == 1
+        assert "commits/s" in failures[0]
+        both = check_regression(
+            [_point(events_per_sec=700.0, ops_per_sec=7.0)], baseline)
+        assert len(both) == 2
+
 
 class TestCli:
     def test_quick_run_emits_bench_json(self, tmp_path, monkeypatch):
@@ -146,6 +160,7 @@ class TestCli:
             point = json.load(handle)
         assert point["rig"] == "tpcb"
         assert point["events"] > 0
+        assert point["events_per_commit"] == point["events"] / point["commits"]
         assert len(point["metrics_digest"]) == 64
         with open(tmp_path / "BENCH_perf.json", encoding="utf-8") as handle:
             combined = json.load(handle)

@@ -470,3 +470,157 @@ def test_events_processed_counts_dispatches():
     sim.run_process(proc())
     # startup resume + zero-delay timeout + delayed timeout
     assert sim.events_processed == 3
+
+
+def test_timeout_at_fires_at_absolute_time():
+    sim = Simulator()
+
+    def proc():
+        yield sim.timeout(5)
+        value = yield sim.timeout_at(12.5, value="due")
+        return sim.now, value
+
+    assert sim.run_process(proc()) == (12.5, "due")
+    with pytest.raises(ValueError):
+        sim.timeout_at(12.0)
+
+
+def test_timeout_at_now_takes_the_place_of_a_zero_delay_timeout():
+    def scenario(make_timer):
+        sim = Simulator()
+        order = []
+
+        def proc(name):
+            yield sim.timeout(0)
+            order.append(name)
+
+        sim.process(proc("a"))
+        make_timer(sim, lambda timer: order.append("b"))
+        sim.process(proc("c"))
+        sim.run()
+        return order
+
+    def zero_delay(sim, callback):
+        sim.timeout(0).callbacks.append(callback)
+
+    def at_now(sim, callback):
+        sim.timeout_at(sim.now, None, callback)
+
+    assert scenario(at_now) == scenario(zero_delay) == ["b", "a", "c"]
+
+
+def test_timeout_at_ticket_keeps_the_position_of_an_eager_timer():
+    sim = Simulator()
+    order = []
+
+    def note(timer):
+        order.append(timer.value)
+
+    sim.timeout_at(10.0, "x", note)
+    ticket = sim.ticket()
+    sim.timeout_at(10.0, "y", note)
+    # Armed at t=5 but ordered as if armed when the ticket was taken:
+    # ahead of y, which was created after the ticket.
+    sim.timeout_at(5.0, None, lambda timer: sim.timeout_at(
+        10.0, "late", note, ticket))
+    sim.timeout_at(5.0, None, lambda timer: sim.timeout_at(
+        10.0, "untracked", note))
+    sim.run()
+    assert order == ["x", "late", "y", "untracked"]
+
+
+def test_timeout_at_ticket_rearmed_at_its_own_instant():
+    """A ticketed timer re-armed at the very instant it is due still
+    fires before same-instant timers created after the ticket."""
+    sim = Simulator()
+    order = []
+
+    def note(timer):
+        order.append(timer.value)
+
+    ticket_box = []
+    sim.timeout_at(10.0, "first",
+                   lambda timer: (note(timer), sim.timeout_at(
+                       10.0, "rearmed", note, ticket_box[0])))
+    ticket_box.append(sim.ticket())
+    sim.timeout_at(10.0, "after-ticket", note)
+
+    def proc():
+        yield sim.timeout(10)
+        order.append("process")
+
+    sim.process(proc())
+    sim.run()
+    assert order == ["first", "rearmed", "after-ticket", "process"]
+
+
+def test_fire_resumes_waiter_inline_from_a_callback():
+    sim = Simulator()
+    gate = sim.event()
+    log = []
+
+    def waiter():
+        value = yield gate
+        log.append(("resumed", sim.now, value))
+
+    def opener(timer):
+        gate.fire("open")
+        log.append(("fire returned", sim.now, None))
+
+    sim.process(waiter())
+    sim.timeout_at(4.0, None, opener)
+    sim.run()
+    assert log == [("resumed", 4.0, "open"), ("fire returned", 4.0, None)]
+    assert gate.processed and gate.value == "open"
+
+
+def test_fire_counts_as_a_processed_event():
+    sim = Simulator()
+    gate = sim.event()
+    sim.timeout_at(1.0, None, lambda timer: gate.fire())
+    sim.run()
+    # the timeout's dispatch + the inline processing of gate
+    assert sim.events_processed == 2
+
+
+def test_fire_rejected_inside_a_process_and_when_triggered():
+    sim = Simulator()
+    gate = sim.event()
+
+    def proc():
+        yield sim.timeout(1)
+        gate.fire()
+
+    with pytest.raises(RuntimeError, match="callback"):
+        sim.run_process(proc())
+    done = sim.event()
+    done.succeed()
+    with pytest.raises(RuntimeError, match="already triggered"):
+        done.fire()
+
+
+def test_fire_skips_a_process_interrupted_while_waiting():
+    sim = Simulator()
+    gate = sim.event()
+    log = []
+
+    def waiter():
+        try:
+            yield gate
+            log.append("resumed")
+        except Interrupt as exc:
+            log.append(("interrupted", sim.now, exc.cause))
+
+    proc = sim.process(waiter())
+
+    def crash(timer):
+        assert proc.target is gate
+        proc.interrupt("crash")
+        assert proc.target is None
+        gate.fire("too late")  # nobody listens any more
+        log.append("fired")
+
+    sim.timeout_at(3.0, None, crash)
+    sim.run()
+    assert log == ["fired", ("interrupted", 3.0, "crash")]
+    assert not proc.is_alive
