@@ -152,6 +152,11 @@ class NoFTLStorageManager:
             )
             space.on_grown_bad = self._on_grown_bad
             region.space = space
+        #: The regions' spaces in region order (fixed for the manager's
+        #: lifetime), for the per-operation lookups below.
+        self._spaces: List[PageMappedSpace] = [
+            region.space for region in self.regions.regions
+        ]
         #: Optional plain callback invoked with every trimmed lpn.  The
         #: health monitor wires the WA ledger's ``forget`` here — trims
         #: never touch the flash, so the array hook cannot see them.
@@ -175,10 +180,12 @@ class NoFTLStorageManager:
         admission control: when it holds, new background traffic should
         yield to foreground reads rather than pile onto busy dies.
         """
-        return any(
-            region.space.maintenance_active
-            for region in self.regions.regions
-        )
+        # Sampled on every front-end destage grant: a plain loop over the
+        # spaces' O(1) counts, no generator frame.
+        for space in self._spaces:
+            if space.collections_in_flight:
+                return True
+        return False
 
     def region_of_lpn(self, lpn: int) -> int:
         """Pure placement function — this is what lets the buffer manager
@@ -186,7 +193,7 @@ class NoFTLStorageManager:
         return self.regions.region_of_lpn(lpn)
 
     def _space_of(self, lpn: int) -> PageMappedSpace:
-        return self.regions.regions[self.regions.region_of_lpn(lpn)].space
+        return self._spaces[self.regions.region_of_lpn(lpn)]
 
     def _check_lpn(self, lpn: int) -> None:
         if not 0 <= lpn < self.logical_pages:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..flash.executor import SimExecutor, SyncExecutor
-from ..sim import LatencyRecorder, Resource, Simulator
+from ..sim import Resource, Simulator
 from ..telemetry import COST_BUCKETS, OpContext
 from .manager import NoFTLStorageManager
 
@@ -33,12 +33,16 @@ def emit_host_op(trace, op: str, ctx: OpContext, before: dict,
     """
     if trace is None or not trace.enabled:
         return
-    fields = ctx.fields()
-    for bucket in COST_BUCKETS:
-        delta = ctx.costs.get(bucket, 0.0) - before.get(bucket, 0.0)
-        if delta:
-            fields[bucket] = delta
-    trace.emit("host.op", op=op, elapsed_us=elapsed_us, **fields)
+    fields = ctx.fields({"op": op, "elapsed_us": elapsed_us})
+    costs = ctx.costs
+    # Buckets are only ever added to, so an empty dict now means an
+    # empty snapshot too: no delta to report.
+    if costs:
+        for bucket in COST_BUCKETS:
+            delta = costs.get(bucket, 0.0) - before.get(bucket, 0.0)
+            if delta:
+                fields[bucket] = delta
+    trace.record("host.op", fields)
 
 
 class NoFTLStorage:
@@ -58,8 +62,6 @@ class NoFTLStorage:
         self.region_locks = [
             Resource(sim, capacity=1) for __ in range(manager.num_regions)
         ]
-        self.read_latency = LatencyRecorder("noftl-read")
-        self.write_latency = LatencyRecorder("noftl-write")
         self.telemetry = manager.telemetry
         self.trace = manager.trace
         self.telemetry.set_clock(lambda: sim.now)
@@ -95,7 +97,6 @@ class NoFTLStorage:
         yield self.sim.timeout(self.interface_overhead_us)
         data = yield from self.executor.run(self.manager.read(lpn), ctx=ctx)
         elapsed = self.sim.now - start
-        self.read_latency.record(elapsed)
         self._tm_read_us.observe(elapsed)
         if tracing:
             emit_host_op(trace, "read", ctx, before, elapsed)
@@ -132,7 +133,6 @@ class NoFTLStorage:
         finally:
             lock.release()
         elapsed = self.sim.now - start
-        self.write_latency.record(elapsed)
         self._tm_write_us.observe(elapsed)
         if tracing:
             emit_host_op(trace, "write", ctx, before, elapsed)

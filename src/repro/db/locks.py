@@ -116,17 +116,35 @@ class LockManager:
     def release_all(self, txn_id: int) -> None:
         """End of transaction: drop every lock and wake compatible waiters.
 
-        Keys are released in sorted order so wake-up order (and therefore
-        the whole simulation) is independent of PYTHONHASHSEED.
+        Only a key with queued waiters can wake anyone, so only those
+        keys are released in ``repr`` order, which keeps the wake-up
+        order (and therefore the whole simulation) independent of
+        PYTHONHASHSEED.  The rest are released as the set yields them:
+        waking schedules events and never runs a waiter inline, so their
+        order is unobservable.
         """
-        for key in sorted(self._held.pop(txn_id, set()), key=repr):
-            record = self._locks.get(key)
+        locks = self._locks
+        contended = []
+        for key in self._held.pop(txn_id, ()):
+            record = locks.get(key)
             if record is None:
                 continue
+            if record.queue:
+                contended.append(key)
+                continue
+            holders = record.holders
+            holders.pop(txn_id, None)
+            if not holders:
+                del locks[key]
+        if not contended:
+            return
+        contended.sort(key=repr)
+        for key in contended:
+            record = locks[key]
             record.holders.pop(txn_id, None)
             self._wake(record)
             if not record.holders and not record.queue:
-                del self._locks[key]
+                del locks[key]
 
     def _wake(self, record: _LockRecord) -> None:
         while record.queue:

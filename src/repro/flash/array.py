@@ -255,6 +255,17 @@ class FlashArray:
             Identify: self._identify,
             Pause: self._pause,
         }
+        # die_of_command's table, keyed the same way: the geometry helper
+        # and the address field naming the die (None: no die occupied).
+        self._die_of = {
+            ReadPage: (geometry.die_of_ppn, "ppn"),
+            ProgramPage: (geometry.die_of_ppn, "ppn"),
+            EraseBlock: (geometry.die_of_block, "pbn"),
+            Copyback: (geometry.die_of_ppn, "src_ppn"),
+            ReadOob: (geometry.die_of_ppn, "ppn"),
+            Identify: None,
+            Pause: None,
+        }
 
         self.fault_injector = FaultInjector(fault_plan, telemetry=self.telemetry)
         if read_error_rate:
@@ -355,11 +366,11 @@ class FlashArray:
             health.record(op, die, latency, ctx, oob)
         trace = self.trace
         if trace is not None and trace.enabled:
+            fields = {"op": op, "die": die, "latency_us": latency, "origin": origin}
             if ctx is not None:
-                trace.emit("flash.cmd", op=op, die=die, latency_us=latency,
-                           origin=origin, path=ctx.path(), ctx=ctx.ctx_id)
-            else:
-                trace.emit("flash.cmd", op=op, die=die, latency_us=latency, origin=origin)
+                fields["path"] = ctx.path()
+                fields["ctx"] = ctx.ctx_id
+            trace.record("flash.cmd", fields)
 
     # -- command execution -------------------------------------------------------
 
@@ -391,22 +402,24 @@ class FlashArray:
             if factor != 1.0:
                 extra = result.latency_us * (factor - 1.0)
                 result.latency_us += extra
-                result.extra["fault_extra_us"] = extra
+                result.fault_extra_us = extra
                 self.counters.busy_us += extra
                 self._tm_busy[result.die].inc(extra)
         return result
 
     def die_of_command(self, command: FlashCommand) -> Optional[int]:
-        """Global die a command will occupy (None for Identify)."""
-        if isinstance(command, (ReadPage, ReadOob)):
-            return self.geometry.die_of_ppn(command.ppn)
-        if isinstance(command, ProgramPage):
-            return self.geometry.die_of_ppn(command.ppn)
-        if isinstance(command, EraseBlock):
-            return self.geometry.die_of_block(command.pbn)
-        if isinstance(command, Copyback):
-            return self.geometry.die_of_ppn(command.src_ppn)
-        return None
+        """Global die a command will occupy (None for Identify / Pause)."""
+        entry = self._die_of.get(type(command), False)
+        if entry is False:  # a command subclass: walk the table
+            entry = None
+            for cls, candidate in self._die_of.items():
+                if isinstance(command, cls):
+                    entry = candidate
+                    break
+        if entry is None:
+            return None
+        die_of, address = entry
+        return die_of(getattr(command, address))
 
     # -- individual commands ------------------------------------------------------
 

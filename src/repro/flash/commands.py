@@ -10,7 +10,7 @@ out against a :class:`~repro.flash.array.FlashArray`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 __all__ = [
@@ -157,11 +157,23 @@ def tag_commands(operation, ctx):
 
 @dataclass(slots=True)
 class CommandResult:
-    """Outcome of one executed command."""
+    """Outcome of one executed command.
+
+    The array fills the first five fields.  The DES device adds what it
+    observed: ``observed_us`` (queue wait plus service; None when no
+    device timed the command, as in synchronous replay, where the model
+    ``latency_us`` stands in), ``queue_wait_us`` (time queued for the
+    die) and ``queue_gc_us`` (the part of that wait spent behind
+    maintenance).  ``fault_extra_us`` is an injected latency spike's
+    extra service time, already included in ``latency_us``.
+    """
 
     command: FlashCommand
     latency_us: float
     die: Optional[int] = None  # global die index the command occupied
-    data: Any = None           # page payload (reads) / geometry (identify)
-    oob: Any = None            # page metadata (reads)
-    extra: dict = field(default_factory=dict)
+    data: Any = None  # page payload (reads) / geometry (identify)
+    oob: Any = None  # page metadata (reads)
+    observed_us: Optional[float] = None
+    queue_wait_us: float = 0.0
+    queue_gc_us: float = 0.0
+    fault_extra_us: float = 0.0

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import List
 
-from ..sim import LatencyRecorder, Resource, Simulator
+from ..sim import Resource, Simulator
 from ..telemetry import MAINTENANCE_ORIGINS
 from .array import FlashArray
 from .commands import (
@@ -120,7 +120,11 @@ class SimFlashDevice:
         self.channel_resources: List[Resource] = [
             Resource(sim, capacity=1) for __ in range(self.geometry.channels)
         ]
-        self.latency = LatencyRecorder("flash-commands")
+        # The channel bus each die transfers over, resolved once.
+        self._channel_of_die: List[Resource] = [
+            self.channel_resources[self.geometry.channel_of_die(die)]
+            for die in range(self.geometry.total_dies)
+        ]
         self._die_busy_us: List[float] = [0.0] * self.geometry.total_dies
         # Cumulative die-held time split by who held it (host work vs
         # maintenance origins).  A waiter samples the maintenance column
@@ -162,7 +166,9 @@ class SimFlashDevice:
 
     def execute(self, command: FlashCommand):
         """DES generator executing one command with resource contention."""
-        kind = _phase_of(command)
+        kind = _PHASE_OF_TYPE.get(type(command))
+        if kind is None:
+            kind = _phase_of(command)
         if kind == _INSTANT:
             result = self.array.apply(command)
             yield self.sim.timeout(result.latency_us)
@@ -186,7 +192,7 @@ class SimFlashDevice:
             # State transition happens when the die starts the command;
             # per-die FIFO queuing makes this consistent with issue order.
             result = self.array.apply(command)
-            channel = self.channel_resources[self.geometry.channel_of_die(die)]
+            channel = self._channel_of_die[die]
             if kind == _READ:
                 yield self.sim.timeout(self._read_sense_us)
                 yield channel.request()
@@ -205,7 +211,7 @@ class SimFlashDevice:
                 yield self.sim.timeout(result.latency_us)
             # Injected latency spikes: the array reports the extra service
             # time; the die stays busy for it in simulated time too.
-            fault_extra = result.extra.get("fault_extra_us", 0.0)
+            fault_extra = result.fault_extra_us
             if fault_extra:
                 yield self.sim.timeout(fault_extra)
         finally:
@@ -214,11 +220,10 @@ class SimFlashDevice:
             self._die_busy_us[die] += held
             busy_by_class["maintenance" if is_maintenance else "host"] += held
         total = self.sim.now - start
-        self.latency.record(total)
         self._tm_service.observe(total)
-        result.extra["observed_us"] = total
+        result.observed_us = total
         if wait > 0:
-            result.extra["queue_wait_us"] = wait
+            result.queue_wait_us = wait
             if behind_gc > 0:
-                result.extra["queue_gc_us"] = behind_gc
+                result.queue_gc_us = behind_gc
         return result

@@ -58,7 +58,9 @@ def _prepare(command: FlashCommand, ctx: Optional[OpContext]):
 
 
 def _charge(ctx: OpContext, command: FlashCommand, origin: str, result):
-    observed = result.extra.get("observed_us", result.latency_us)
+    observed = result.observed_us
+    if observed is None:
+        observed = result.latency_us
     if isinstance(command, Pause):
         # Backpressure / backoff time: blamed on GC when the pause exists
         # to let maintenance catch up, on retry/recovery otherwise.
@@ -70,8 +72,8 @@ def _charge(ctx: OpContext, command: FlashCommand, origin: str, result):
         # request, queue waits included — it is all foreign work.
         ctx.charge("gc_us", observed)
         return
-    wait = result.extra.get("queue_wait_us", 0.0)
-    behind_gc = result.extra.get("queue_gc_us", 0.0)
+    wait = result.queue_wait_us
+    behind_gc = result.queue_gc_us
     ctx.charge("media_us", observed - wait)
     ctx.charge("queue_gc_us", behind_gc)
     ctx.charge("queue_other_us", max(0.0, wait - behind_gc))

@@ -44,6 +44,10 @@ class Geometry:
     ``die_index`` below always means the *global* die number in
     ``range(total_dies)``; the paper's die-wise striping and the region
     manager both work in terms of global dies.
+
+    The derived sizes ``total_dies``, ``blocks_per_die``,
+    ``pages_per_die``, ``total_blocks`` and ``total_pages`` are read-only
+    attributes computed at construction.
     """
 
     channels: int = 2
@@ -70,28 +74,25 @@ class Geometry:
                 raise ValueError(f"{field_name} must be >= 1, got {value}")
         if self.oob_bytes < 0:
             raise ValueError("oob_bytes must be >= 0")
+        # Derived sizes, computed once: the address helpers below read
+        # them on the flash command path.  Plain instance attributes (set
+        # through object.__setattr__ on the frozen instance) rather than
+        # dataclass fields, so ==, hash, repr and asdict still see only
+        # the shape; dataclasses.replace re-runs this and recomputes them.
+        total_dies = self.channels * self.chips_per_channel * self.dies_per_chip
+        blocks_per_die = self.planes_per_die * self.blocks_per_plane
+        total_blocks = total_dies * blocks_per_die
+        derived = {
+            "total_dies": total_dies,
+            "blocks_per_die": blocks_per_die,
+            "pages_per_die": blocks_per_die * self.pages_per_block,
+            "total_blocks": total_blocks,
+            "total_pages": total_blocks * self.pages_per_block,
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     # -- derived sizes -------------------------------------------------------
-
-    @property
-    def total_dies(self) -> int:
-        return self.channels * self.chips_per_channel * self.dies_per_chip
-
-    @property
-    def blocks_per_die(self) -> int:
-        return self.planes_per_die * self.blocks_per_plane
-
-    @property
-    def pages_per_die(self) -> int:
-        return self.blocks_per_die * self.pages_per_block
-
-    @property
-    def total_blocks(self) -> int:
-        return self.total_dies * self.blocks_per_die
-
-    @property
-    def total_pages(self) -> int:
-        return self.total_blocks * self.pages_per_block
 
     @property
     def capacity_bytes(self) -> int:
@@ -113,16 +114,20 @@ class Geometry:
 
     def die_of_block(self, pbn: int) -> int:
         """Global die index that owns flat block ``pbn``."""
-        self._check_block(pbn)
+        if not 0 <= pbn < self.total_blocks:
+            self._check_block(pbn)
         return pbn // self.blocks_per_die
 
     def plane_of_block(self, pbn: int) -> int:
         """Plane index (within its die) of flat block ``pbn``."""
-        self._check_block(pbn)
-        return (pbn % self.blocks_per_die) // self.blocks_per_plane
+        if not 0 <= pbn < self.total_blocks:
+            self._check_block(pbn)
+        return pbn // self.blocks_per_plane % self.planes_per_die
 
     def die_of_ppn(self, ppn: int) -> int:
-        return self.die_of_block(self.block_of_ppn(ppn))
+        if not 0 <= ppn < self.total_pages:
+            self._check_block(ppn // self.pages_per_block)
+        return ppn // self.pages_per_die
 
     def plane_of_ppn(self, ppn: int) -> int:
         return self.plane_of_block(self.block_of_ppn(ppn))
@@ -179,12 +184,18 @@ class Geometry:
     def same_plane(self, ppn_a: int, ppn_b: int) -> bool:
         """True when two pages live in the same plane of the same die
         (the precondition for a COPYBACK transfer)."""
-        block_a = self.block_of_ppn(ppn_a)
-        block_b = self.block_of_ppn(ppn_b)
-        return (
-            self.die_of_block(block_a) == self.die_of_block(block_b)
-            and self.plane_of_block(block_a) == self.plane_of_block(block_b)
-        )
+        pages_per_block = self.pages_per_block
+        block_a = ppn_a // pages_per_block
+        block_b = ppn_b // pages_per_block
+        total_blocks = self.total_blocks
+        if not 0 <= block_a < total_blocks:
+            self._check_block(block_a)
+        if not 0 <= block_b < total_blocks:
+            self._check_block(block_b)
+        # Planes are contiguous runs of blocks_per_plane blocks (die-major
+        # numbering), so one division names a plane globally.
+        blocks_per_plane = self.blocks_per_plane
+        return block_a // blocks_per_plane == block_b // blocks_per_plane
 
     def describe(self) -> dict:
         """Identify-command payload: the device self-description."""

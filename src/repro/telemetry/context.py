@@ -194,9 +194,13 @@ class OpContext:
         if us:
             self.costs[bucket] = self.costs.get(bucket, 0.0) + us
 
-    def fields(self) -> dict:
-        """Identity fields for trace events."""
-        out = {"origin": self.origin, "ctx": self.ctx_id}
+    def fields(self, out: Optional[dict] = None) -> dict:
+        """Identity fields for trace events, added to ``out`` (a new dict
+        when None) after whatever keys it already holds."""
+        if out is None:
+            out = {}
+        out["origin"] = self.origin
+        out["ctx"] = self.ctx_id
         if self.parent is not None:
             out["path"] = self.path()
         if self.txn_id is not None:

@@ -84,16 +84,16 @@ class Span:
         self.span_id = self.trace.next_span_id()
         if self.parent_id:
             self.fields.setdefault("parent", self.parent_id)
-        self.trace.emit(self.kind + ":begin", span=self.span_id, **self.fields)
+        self.trace.record(self.kind + ":begin", {"span": self.span_id, **self.fields})
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         duration = self.trace.now() - self.start
-        fields = dict(self.fields)
+        fields = {"span": self.span_id, **self.fields}
         fields["duration_us"] = duration
         if exc_type is not None:
             fields["error"] = exc_type.__name__
-        self.trace.emit(self.kind + ":end", span=self.span_id, **fields)
+        self.trace.record(self.kind + ":end", fields)
         if self.histogram is not None:
             self.histogram.observe(duration)
 
@@ -150,6 +150,13 @@ class EventTrace:
     # -- emission -------------------------------------------------------------
 
     def emit(self, kind: str, **fields) -> None:
+        self.record(kind, fields)
+
+    def record(self, kind: str, fields: dict) -> None:
+        """Append one event whose ``fields`` dict the caller built; the
+        trace keeps that dict as is (no copy), so hot paths that build
+        their fields directly pay for one dict, not a ``**kwargs``
+        re-pack of it."""
         if not self.enabled:
             return
         event = TraceEvent(self.now(), kind, fields)

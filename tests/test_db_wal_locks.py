@@ -193,6 +193,73 @@ class TestLockManager:
         assert locks.snapshot()["active_keys"] == 0
         assert locks.held_by(1) == set()
 
+    def test_contended_release_wakes_in_full_sort_order(self):
+        """release_all sorts only the keys with queued waiters; the wake
+        order must equal releasing every held key in ``repr`` order."""
+
+        class FullSortLockManager(LockManager):
+            # Releases every held key in repr order, contended or not.
+            def release_all(self, txn_id):
+                for key in sorted(self._held.pop(txn_id, set()), key=repr):
+                    record = self._locks.get(key)
+                    if record is None:
+                        continue
+                    record.holders.pop(txn_id, None)
+                    self._wake(record)
+                    if not record.holders and not record.queue:
+                        del self._locks[key]
+
+        # Keys whose repr order differs from insertion and hash order.
+        keys = ([("acct", n) for n in (12, 3, 7, 30, 1)]
+                + [("teller", n) for n in (9, 2)]
+                + ["branch", "history", 42, 5, ("acct", 100)]
+                + [(table, n) for table in ("x", "y") for n in range(12)])
+        # txn 2..: (key, mode) requests against holder txn 1, which holds
+        # every third key shared and the rest exclusive.  Readers of a
+        # shared key are granted at once and an exclusive request queues
+        # behind them; most keys have no waiter at all.
+        waits = [(("acct", 7), "X"), (("acct", 30), "S"), (("acct", 30), "S"),
+                 (("acct", 30), "X"), ("history", "X"), (42, "S"), (5, "X"),
+                 (("teller", 2), "X"), (("acct", 100), "S"), (("y", 3), "X"),
+                 (("x", 11), "S")]
+
+        def scenario(manager_cls):
+            sim = Simulator()
+            locks = manager_cls(sim)
+            woken = []
+
+            def holder():
+                for index, key in enumerate(keys):
+                    mode = LockMode.SHARED if index % 3 == 0 \
+                        else LockMode.EXCLUSIVE
+                    yield from locks.acquire(1, key, mode)
+                yield sim.timeout(100)
+                locks.release_all(1)
+
+            def waiter(txn_id, key, mode):
+                yield sim.timeout(txn_id)
+                yield from locks.acquire(txn_id, key, mode)
+                woken.append((sim.now, txn_id, key))
+                yield sim.timeout(5)
+                locks.release_all(txn_id)
+
+            sim.process(holder())
+            for txn_id, (key, mode) in enumerate(waits, start=2):
+                sim.process(waiter(txn_id, key, mode))
+            sim.run()
+            return woken, locks.snapshot()
+
+        woken, snapshot = scenario(LockManager)
+        reference_woken, reference_snapshot = scenario(FullSortLockManager)
+        assert woken == reference_woken
+        assert snapshot == reference_snapshot
+        assert snapshot["active_keys"] == 0
+        # Several keys were contended at the release, so the comparison
+        # exercised the sort: the grants at t=100 follow repr order.
+        at_release = [key for now, __, key in woken if now == 100]
+        assert len(set(map(repr, at_release))) >= 6
+        assert at_release == sorted(at_release, key=repr)
+
 
 class TestRWLock:
     def test_readers_share(self):

@@ -1,5 +1,9 @@
 """Unit + property tests for flash geometry and address arithmetic."""
 
+import dataclasses
+import itertools
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -154,3 +158,153 @@ def test_die_block_ranges_partition(geometry):
         for plane in range(geometry.planes_per_die):
             assert set(geometry.blocks_of_plane(die, plane)) <= set(blocks)
     assert total == geometry.total_blocks
+
+
+# -- precomputed derived sizes ------------------------------------------------
+#
+# Geometry computes its derived sizes once, in __post_init__, and its
+# address helpers read them.  The reference functions below are the
+# property-chain formulas those helpers replaced; the grid holds both to
+# the same answers, errors included.
+
+GRID = [
+    Geometry(channels=ch, chips_per_channel=chips, dies_per_chip=dies,
+             planes_per_die=planes, blocks_per_plane=blocks,
+             pages_per_block=pages, page_bytes=512)
+    for ch, chips, dies, planes, blocks, pages in itertools.product(
+        (1, 3), (1, 2), (1, 2), (1, 2, 4), (1, 3, 8), (1, 4))
+]
+
+
+def ref_sizes(g):
+    total_dies = g.channels * g.chips_per_channel * g.dies_per_chip
+    blocks_per_die = g.planes_per_die * g.blocks_per_plane
+    return {
+        "total_dies": total_dies,
+        "blocks_per_die": blocks_per_die,
+        "pages_per_die": blocks_per_die * g.pages_per_block,
+        "total_blocks": total_dies * blocks_per_die,
+        "total_pages": total_dies * blocks_per_die * g.pages_per_block,
+    }
+
+
+def ref_check_block(g, pbn):
+    total_blocks = ref_sizes(g)["total_blocks"]
+    if not 0 <= pbn < total_blocks:
+        raise ValueError(f"pbn {pbn} out of range (0..{total_blocks - 1})")
+
+
+def ref_die_of_block(g, pbn):
+    ref_check_block(g, pbn)
+    return pbn // ref_sizes(g)["blocks_per_die"]
+
+
+def ref_plane_of_block(g, pbn):
+    ref_check_block(g, pbn)
+    return (pbn % ref_sizes(g)["blocks_per_die"]) // g.blocks_per_plane
+
+
+def ref_die_of_ppn(g, ppn):
+    return ref_die_of_block(g, ppn // g.pages_per_block)
+
+
+def ref_same_plane(g, ppn_a, ppn_b):
+    block_a = ppn_a // g.pages_per_block
+    block_b = ppn_b // g.pages_per_block
+    return (
+        ref_die_of_block(g, block_a) == ref_die_of_block(g, block_b)
+        and ref_plane_of_block(g, block_a) == ref_plane_of_block(g, block_b)
+    )
+
+
+def outcome(fn, *args):
+    """``("ok", value)`` or ``("err", message)`` of one call."""
+    try:
+        return ("ok", fn(*args))
+    except ValueError as exc:
+        return ("err", str(exc))
+
+
+class TestPrecomputedGeometry:
+    def test_derived_sizes_match_formulas(self):
+        for g in GRID:
+            for name, value in ref_sizes(g).items():
+                assert getattr(g, name) == value, (g, name)
+            assert g.capacity_bytes == g.total_pages * g.page_bytes
+
+    def test_address_helpers_match_formulas(self):
+        for g in GRID:
+            for pbn in range(g.total_blocks):
+                assert g.die_of_block(pbn) == ref_die_of_block(g, pbn)
+                assert g.plane_of_block(pbn) == ref_plane_of_block(g, pbn)
+            steps = (1, g.pages_per_block, g.pages_per_block * g.blocks_per_plane)
+            for ppn in range(g.total_pages):
+                assert g.die_of_ppn(ppn) == ref_die_of_ppn(g, ppn)
+                for step in steps:
+                    other = (ppn + step) % g.total_pages
+                    assert g.same_plane(ppn, other) == \
+                        ref_same_plane(g, ppn, other)
+
+    def test_out_of_range_errors_match(self):
+        for g in GRID:
+            self.check_out_of_range_errors(g)
+
+    @staticmethod
+    def check_out_of_range_errors(g):
+        bad_blocks = (-1, -g.blocks_per_plane - 1, g.total_blocks,
+                      g.total_blocks + 7)
+        bad_pages = (-1, -g.pages_per_block - 1, g.total_pages,
+                     g.total_pages + g.pages_per_block + 1)
+        for pbn in bad_blocks:
+            assert outcome(g.die_of_block, pbn)[0] == "err"
+            assert outcome(g.die_of_block, pbn) == \
+                outcome(ref_die_of_block, g, pbn)
+            assert outcome(g.plane_of_block, pbn) == \
+                outcome(ref_plane_of_block, g, pbn)
+        good = g.total_pages - 1
+        for ppn in bad_pages:
+            assert outcome(g.die_of_ppn, ppn)[0] == "err"
+            assert outcome(g.die_of_ppn, ppn) == \
+                outcome(ref_die_of_ppn, g, ppn)
+            for a, b in ((ppn, good), (good, ppn), (ppn, bad_pages[-1])):
+                assert outcome(g.same_plane, a, b) == \
+                    outcome(ref_same_plane, g, a, b)
+
+    def test_replace_recomputes_derived_sizes(self):
+        for g in GRID:
+            bigger = dataclasses.replace(g, channels=g.channels + 1,
+                                         blocks_per_plane=g.blocks_per_plane * 2)
+            for name, value in ref_sizes(bigger).items():
+                assert getattr(bigger, name) == value, name
+            assert bigger != g
+
+    def test_value_semantics_cover_the_shape_only(self):
+        names = [f.name for f in dataclasses.fields(Geometry)]
+        assert names == ["channels", "chips_per_channel", "dies_per_chip",
+                         "planes_per_die", "blocks_per_plane",
+                         "pages_per_block", "page_bytes", "oob_bytes"]
+        for g in GRID:
+            shape = tuple(getattr(g, name) for name in names)
+            twin = Geometry(*shape)
+            assert twin == g and hash(twin) == hash(g)
+            assert hash(g) == hash(shape)
+            assert dataclasses.asdict(g) == dict(zip(names, shape))
+            assert repr(g) == "Geometry(" + ", ".join(
+                f"{name}={value}" for name, value in zip(names, shape)) + ")"
+        assert len(set(GRID)) == len(GRID)
+
+    def test_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            SMALL.total_pages = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            SMALL.channels = 1
+
+    def test_pickle_round_trip(self):
+        for g in GRID:
+            for protocol in (2, pickle.HIGHEST_PROTOCOL):
+                copy = pickle.loads(pickle.dumps(g, protocol=protocol))
+                assert copy == g and hash(copy) == hash(g)
+                assert dataclasses.asdict(copy) == dataclasses.asdict(g)
+                for name, value in ref_sizes(g).items():
+                    assert getattr(copy, name) == value, name
+                assert copy.die_of_ppn(g.total_pages - 1) == g.total_dies - 1

@@ -118,7 +118,7 @@ def frontend_burst_run():
 def fresh_context_ids(monkeypatch):
     """Context ids come from a process-wide counter and appear in every
     ``host.op`` event: restart it so the digests do not depend on which
-    tests ran earlier in the session."""
+    tests ran earlier in the same process."""
     monkeypatch.setattr(OpContext, "_ids", itertools.count(1))
 
 
